@@ -1,15 +1,21 @@
 //! The daemon proper: a multi-tenant front-end wrapped around the serve
 //! core, plus the admin port that drives hot reload and promotion.
 //!
-//! Two listeners, two protocols:
+//! Two listeners, two protocols, both on the serve crate's epoll
+//! [`Front`] (one loop thread per port, whatever the connection count):
 //!
 //! * the **tenant port** speaks `rl-ccd-serve v1` — every query must
 //!   carry [`Credentials`](rl_ccd_serve::Credentials); the
 //!   [`TenantBook`] authenticates and
 //!   throttles it, canary routing may rewrite the champion slot to the
-//!   challenger, and only then does the request enter the serving queue;
+//!   challenger, and only then does the request enter the serving queue.
+//!   The loop thread never waits for the answer: the batch worker that
+//!   computes it hands it back through the front's completion queue;
 //! * the **admin port** speaks `rl-ccd-admin v1` — checkpoint loads,
-//!   gate runs, promote/rollback, tenant CRUD, drain.
+//!   gate runs, promote/rollback, tenant CRUD, drain. Commands that touch
+//!   the model slots (`load`, `gate`, `promote`, `rollback`, `retrain`)
+//!   run in arrival order on one admin executor thread, so a retrain
+//!   never blocks either loop and `status` answers while it runs.
 //!
 //! Promotion is zero-downtime by construction: `load` verifies and warms
 //! the challenger off the request path, `promote` is one atomic registry
@@ -20,16 +26,15 @@ use crate::clock::Clock;
 use crate::promotion::{escape_json, Promoter, CHALLENGER, CHAMPION};
 use crate::tenant::{constant_time_eq, Admission, TenantBook, TenantConfig, TenantSummary};
 use rl_ccd::gate::GateSpec;
-use rl_ccd_serve::protocol::{read_frame, write_frame};
 use rl_ccd_serve::{
-    DrainReport, ModelRegistry, ModelVersion, RejectKind, Request, Response, ServeConfig,
-    ServeHandle, Server,
+    DrainReport, FrameHandler, Front, FrontConfig, ModelRegistry, QueryRequest, RejectKind, Reply,
+    Request, Responder, Response, ServeConfig, ServeHandle, Server,
 };
 use std::io::Write as _;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -98,7 +103,8 @@ struct DaemonShared {
     /// An admin asked for a drain (the daemon's owner polls this).
     drain_requested: AtomicBool,
     recorder: Option<rl_ccd_obs::Recorder>,
-    write_timeout: Duration,
+    /// How both ports run their TCP front.
+    front: FrontConfig,
 }
 
 impl std::fmt::Debug for DaemonShared {
@@ -108,13 +114,6 @@ impl std::fmt::Debug for DaemonShared {
             .field("draining", &self.draining.load(Ordering::SeqCst))
             .finish()
     }
-}
-
-#[derive(Debug)]
-struct Front {
-    addr: SocketAddr,
-    accept_thread: JoinHandle<()>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 /// A running multi-tenant daemon.
@@ -127,6 +126,7 @@ pub struct Daemon {
     usage_flusher: Option<JoinHandle<()>>,
     query_front: Option<Front>,
     admin_front: Option<Front>,
+    admin_executor: Option<JoinHandle<()>>,
 }
 
 impl Daemon {
@@ -140,7 +140,13 @@ impl Daemon {
     /// cannot be opened — a daemon asked to log experience must not come
     /// up silently lossy.
     pub fn start(registry: ModelRegistry, config: DaemonConfig, clock: Arc<dyn Clock>) -> Self {
-        let write_timeout = config.serve.write_timeout;
+        let recorder = rl_ccd_obs::current();
+        let front = FrontConfig {
+            write_timeout: config.serve.write_timeout,
+            sock_send_buffer: config.serve.sock_send_buffer,
+            recorder: recorder.clone(),
+            stats: Arc::default(),
+        };
         let mut serve_config = config.serve.clone();
         let experience = config
             .experience_path
@@ -158,8 +164,8 @@ impl Daemon {
             admin_token: config.admin_token,
             draining: AtomicBool::new(false),
             drain_requested: AtomicBool::new(false),
-            recorder: rl_ccd_obs::current(),
-            write_timeout,
+            recorder,
+            front,
         });
         let usage_flusher = match (&config.usage_path, config.usage_flush_ms) {
             (Some(path), interval_ms) if interval_ms > 0 => Some(spawn_usage_flusher(
@@ -178,6 +184,7 @@ impl Daemon {
             usage_flusher,
             query_front: None,
             admin_front: None,
+            admin_executor: None,
         }
     }
 
@@ -213,8 +220,11 @@ impl Daemon {
     /// # Errors
     /// Propagates bind failures.
     pub fn bind_query(&mut self, addr: &str) -> std::io::Result<SocketAddr> {
-        let front = bind_front(addr, self.shared.clone(), "daemon-query", query_conn)?;
-        let local = front.addr;
+        let handler = TenantPort {
+            shared: self.shared.clone(),
+        };
+        let front = Front::bind(addr, "daemon-query", self.shared.front.clone(), handler)?;
+        let local = front.local_addr();
         self.query_front = Some(front);
         Ok(local)
     }
@@ -224,35 +234,51 @@ impl Daemon {
     /// # Errors
     /// Propagates bind failures.
     pub fn bind_admin(&mut self, addr: &str) -> std::io::Result<SocketAddr> {
-        let front = bind_front(addr, self.shared.clone(), "daemon-admin", admin_conn)?;
-        let local = front.addr;
+        let (jobs, queue) = mpsc::channel::<AdminJob>();
+        let recorder = self.shared.recorder.clone();
+        // One thread runs the slow commands in arrival order; it exits
+        // once the admin front (the only sender) is gone.
+        let executor = std::thread::Builder::new()
+            .name("daemon-admin-exec".into())
+            .spawn(move || {
+                let _obs = recorder.as_ref().map(rl_ccd_obs::attach);
+                for job in queue {
+                    // A panicking command drops its reply, which closes
+                    // that one connection; the executor keeps serving.
+                    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
+                }
+            })?;
+        let handler = AdminPort {
+            shared: self.shared.clone(),
+            executor: jobs,
+        };
+        let front = Front::bind(addr, "daemon-admin", self.shared.front.clone(), handler)?;
+        let local = front.local_addr();
         self.admin_front = Some(front);
+        self.admin_executor = Some(executor);
         Ok(local)
     }
 
     /// The bound tenant-port address, if [`Daemon::bind_query`] ran.
     pub fn query_addr(&self) -> Option<SocketAddr> {
-        self.query_front.as_ref().map(|f| f.addr)
+        self.query_front.as_ref().map(Front::local_addr)
     }
 
     /// The bound admin-port address, if [`Daemon::bind_admin`] ran.
     pub fn admin_addr(&self) -> Option<SocketAddr> {
-        self.admin_front.as_ref().map(|f| f.addr)
+        self.admin_front.as_ref().map(Front::local_addr)
     }
 
-    /// Graceful shutdown: stop accepting, join every connection, flush
+    /// Graceful shutdown: stop accepting, answer every owed reply, flush
     /// per-tenant usage to the configured JSONL file, drain the serving
     /// core and the experience sink, and report the final accounting.
     pub fn shutdown(self) -> DaemonReport {
         self.shared.draining.store(true, Ordering::SeqCst);
         for front in [self.query_front, self.admin_front].into_iter().flatten() {
-            // Unblock the accept loop with one throwaway connection.
-            let _ = TcpStream::connect(front.addr);
-            let _ = front.accept_thread.join();
-            let conns = std::mem::take(&mut *front.conns.lock().expect("conn list lock"));
-            for conn in conns {
-                let _ = conn.join();
-            }
+            front.join();
+        }
+        if let Some(executor) = self.admin_executor {
+            let _ = executor.join();
         }
         if let Some(flusher) = self.usage_flusher {
             let _ = flusher.join();
@@ -326,124 +352,77 @@ fn spawn_usage_flusher(
         .expect("spawn usage flusher")
 }
 
-/// Spawns an accept loop whose connections run `conn_fn`.
-fn bind_front(
-    addr: &str,
+/// The tenant port's frame handler: admission and canary routing inline,
+/// the query itself on the serving core with a deferred reply.
+struct TenantPort {
     shared: Arc<DaemonShared>,
-    name: &'static str,
-    conn_fn: fn(&DaemonShared, TcpStream),
-) -> std::io::Result<Front> {
-    let listener = TcpListener::bind(addr)?;
-    let local = listener.local_addr()?;
-    let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-    let conns_in_accept = conns.clone();
-    let accept_thread = std::thread::Builder::new()
-        .name(format!("{name}-accept"))
-        .spawn(move || {
-            let _obs = shared.recorder.as_ref().map(rl_ccd_obs::attach);
-            for stream in listener.incoming() {
-                if shared.draining.load(Ordering::SeqCst) {
-                    break; // the shutdown wake-up connection lands here
-                }
-                let Ok(stream) = stream else { continue };
-                let shared = shared.clone();
-                let conn = std::thread::Builder::new()
-                    .name(format!("{name}-conn"))
-                    .spawn(move || conn_fn(&shared, stream))
-                    .expect("spawn daemon connection");
-                conns_in_accept.lock().expect("conn list lock").push(conn);
-            }
-        })
-        .expect("spawn daemon accept loop");
-    Ok(Front {
-        addr: local,
-        accept_thread,
-        conns,
-    })
 }
 
-/// Prepares one connection's socket: short read timeout so idle
-/// connections re-check the drain flag, bounded write stall.
-fn framed_pair(stream: TcpStream, write_timeout: Duration) -> Option<(TcpStream, TcpStream)> {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let _ = stream.set_write_timeout(Some(write_timeout));
-    let reader = stream.try_clone().ok()?;
-    Some((reader, stream))
-}
+impl FrameHandler for TenantPort {
+    fn on_frame(&mut self, payload: &[u8], responder: &Responder<'_>) -> Reply {
+        let (query, tenant) = match admit_query_frame(&self.shared, payload) {
+            Ok(admitted) => admitted,
+            Err(response) => return Reply::Frame(response.encode()),
+        };
+        let later = responder.defer();
+        let started = Instant::now();
+        self.shared.handle.submit(query, move |response| {
+            tenant_counter("daemon.tenant.accepted", &tenant);
+            rl_ccd_obs::with_recorder(|r| {
+                r.metrics()
+                    .labeled_histogram("daemon.tenant.latency_ms", &tenant)
+                    .observe(started.elapsed().as_secs_f64() * 1e3);
+            });
+            later.finish(response.encode());
+        });
+        Reply::Deferred
+    }
 
-/// One tenant connection: authenticated, throttled, canaried queries.
-fn query_conn(shared: &DaemonShared, stream: TcpStream) {
-    let _obs = shared.recorder.as_ref().map(rl_ccd_obs::attach);
-    let Some((mut reader, mut writer)) = framed_pair(stream, shared.write_timeout) else {
-        return;
-    };
-    loop {
-        match read_frame(&mut reader) {
-            Ok(payload) => {
-                let response = answer_query_frame(shared, &payload);
-                if write_frame(&mut writer, &response.encode()).is_err() {
-                    return;
-                }
-                let _ = writer.flush();
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shared.draining.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(_) => return, // EOF or fatal stream error
-        }
+    fn draining(&self) -> bool {
+        self.shared.draining.load(Ordering::SeqCst)
     }
 }
 
-/// Decodes, admits, canaries, and executes one tenant-port frame.
-fn answer_query_frame(shared: &DaemonShared, payload: &[u8]) -> Response {
-    let request = match Request::decode(payload) {
-        Ok(request) => request,
-        Err(msg) => return Response::reject(RejectKind::BadRequest, msg),
+/// Decodes, admits and canaries one tenant-port frame. Returns the query
+/// to run with its tenant's id, or the answer when nothing is to run.
+fn admit_query_frame(
+    shared: &DaemonShared,
+    payload: &[u8],
+) -> Result<(QueryRequest, String), Response> {
+    let request =
+        Request::decode(payload).map_err(|msg| Response::reject(RejectKind::BadRequest, msg))?;
+    let mut q = match request {
+        Request::Query(q) => q,
+        Request::Health => return Err(Response::Health(shared.handle.health())),
+        Request::Shutdown => {
+            return Err(Response::reject(
+                RejectKind::Denied,
+                "admin operations are not available on the tenant port",
+            ))
+        }
     };
-    match request {
-        Request::Health => Response::Health(shared.handle.health()),
-        Request::Shutdown => Response::reject(
-            RejectKind::Denied,
-            "admin operations are not available on the tenant port",
-        ),
-        Request::Query(mut q) => {
-            let Some(creds) = q.auth.take() else {
-                return Response::reject(RejectKind::Denied, "credentials required");
-            };
-            match shared.tenants.admit(&creds) {
-                Admission::Denied(msg) => {
-                    tenant_counter("daemon.tenant.denied", &creds.tenant);
-                    Response::reject(RejectKind::Denied, msg)
-                }
-                Admission::Throttled { retry_after_ms } => {
-                    tenant_counter("daemon.tenant.throttled", &creds.tenant);
-                    Response::QuotaExceeded { retry_after_ms }
-                }
-                Admission::Granted => {
-                    // Canary: a tenant-stable fraction of champion traffic
-                    // is answered by the challenger, when one is staged.
-                    if q.model == CHAMPION
-                        && shared.promoter.routes_to_challenger(&creds.tenant)
-                        && shared.handle.registry().get(CHALLENGER).is_some()
-                    {
-                        q.model = CHALLENGER.to_string();
-                    }
-                    let started = Instant::now();
-                    let response = shared.handle.query(q);
-                    tenant_counter("daemon.tenant.accepted", &creds.tenant);
-                    rl_ccd_obs::with_recorder(|r| {
-                        r.metrics()
-                            .labeled_histogram("daemon.tenant.latency_ms", &creds.tenant)
-                            .observe(started.elapsed().as_secs_f64() * 1e3);
-                    });
-                    response
-                }
+    let Some(creds) = q.auth.take() else {
+        return Err(Response::reject(RejectKind::Denied, "credentials required"));
+    };
+    match shared.tenants.admit(&creds) {
+        Admission::Denied(msg) => {
+            tenant_counter("daemon.tenant.denied", &creds.tenant);
+            Err(Response::reject(RejectKind::Denied, msg))
+        }
+        Admission::Throttled { retry_after_ms } => {
+            tenant_counter("daemon.tenant.throttled", &creds.tenant);
+            Err(Response::QuotaExceeded { retry_after_ms })
+        }
+        Admission::Granted => {
+            // Canary: a tenant-stable fraction of champion traffic is
+            // answered by the challenger, when one is staged.
+            if q.model == CHAMPION
+                && shared.promoter.routes_to_challenger(&creds.tenant)
+                && shared.handle.registry().get(CHALLENGER).is_some()
+            {
+                q.model = CHALLENGER.to_string();
             }
+            Ok((q, creds.tenant))
         }
     }
 }
@@ -454,56 +433,66 @@ fn tenant_counter(name: &'static str, tenant: &str) {
     });
 }
 
-/// One admin connection: framed `rl-ccd-admin v1` commands.
-fn admin_conn(shared: &DaemonShared, stream: TcpStream) {
-    let _obs = shared.recorder.as_ref().map(rl_ccd_obs::attach);
-    let Some((mut reader, mut writer)) = framed_pair(stream, shared.write_timeout) else {
-        return;
-    };
-    loop {
-        match read_frame(&mut reader) {
-            Ok(payload) => {
-                let reply = answer_admin_frame(shared, &payload);
-                if write_frame(&mut writer, &reply.encode()).is_err() {
-                    return;
-                }
-                let _ = writer.flush();
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shared.draining.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(_) => return,
+/// A slow admin command bound for the executor thread.
+type AdminJob = Box<dyn FnOnce() + Send>;
+
+/// The admin port's frame handler: quick commands inline, slot-touching
+/// ones on the admin executor.
+struct AdminPort {
+    shared: Arc<DaemonShared>,
+    executor: mpsc::Sender<AdminJob>,
+}
+
+impl FrameHandler for AdminPort {
+    fn on_frame(&mut self, payload: &[u8], responder: &Responder<'_>) -> Reply {
+        let request = match authorize_admin_frame(&self.shared, payload) {
+            Ok(request) => request,
+            Err(reply) => return Reply::Frame(reply.encode()),
+        };
+        if !matches!(
+            request,
+            AdminRequest::Load { .. }
+                | AdminRequest::Gate
+                | AdminRequest::Promote { .. }
+                | AdminRequest::Rollback
+                | AdminRequest::Retrain { .. }
+        ) {
+            return Reply::Frame(execute_admin(&self.shared, request).encode());
         }
+        let later = responder.defer();
+        let shared = self.shared.clone();
+        // Should the executor be gone, the dropped job closes the
+        // connection rather than leaving the client waiting.
+        let _ = self.executor.send(Box::new(move || {
+            later.finish(execute_admin(&shared, request).encode());
+        }));
+        Reply::Deferred
+    }
+
+    fn draining(&self) -> bool {
+        self.shared.draining.load(Ordering::SeqCst)
     }
 }
 
-fn slot_identity(registry: &ModelRegistry, slot: &str) -> Option<ModelVersion> {
-    registry.get(slot).map(|m| ModelVersion {
-        name: m.name.clone(),
-        version: m.version,
-        fingerprint: m.fingerprint,
-    })
-}
-
-/// Decodes, authenticates, and executes one admin-port frame.
-fn answer_admin_frame(shared: &DaemonShared, payload: &[u8]) -> AdminReply {
-    let (request, token) = match AdminRequest::decode(payload) {
-        Ok(decoded) => decoded,
-        Err(msg) => return AdminReply::Err { msg },
-    };
+/// Decodes and authenticates one admin-port frame.
+fn authorize_admin_frame(
+    shared: &DaemonShared,
+    payload: &[u8],
+) -> Result<AdminRequest, AdminReply> {
+    let (request, token) = AdminRequest::decode(payload).map_err(|msg| AdminReply::Err { msg })?;
     if let Some(expected) = &shared.admin_token {
         let provided = token.unwrap_or_default();
         if !constant_time_eq(provided.as_bytes(), expected.as_bytes()) {
-            return AdminReply::Err {
+            return Err(AdminReply::Err {
                 msg: "unauthorized".into(),
-            };
+            });
         }
     }
+    Ok(request)
+}
+
+/// Executes one authorized admin command.
+fn execute_admin(shared: &DaemonShared, request: AdminRequest) -> AdminReply {
     let registry = shared.handle.registry();
     match request {
         AdminRequest::Status => {
@@ -511,8 +500,8 @@ fn answer_admin_frame(shared: &DaemonShared, payload: &[u8]) -> AdminReply {
             AdminReply::Status(DaemonStatus {
                 ready: health.ready && !shared.draining.load(Ordering::SeqCst),
                 queue_depth: health.queue_depth,
-                champion: slot_identity(registry, CHAMPION),
-                challenger: slot_identity(registry, CHALLENGER),
+                champion: registry.get(CHAMPION).map(|m| m.identity()),
+                challenger: registry.get(CHALLENGER).map(|m| m.identity()),
                 canary: shared.promoter.canary_fraction(),
                 tenants: shared.tenants.len(),
             })
@@ -528,15 +517,11 @@ fn answer_admin_frame(shared: &DaemonShared, payload: &[u8]) -> AdminReply {
             } else {
                 shared.rho
             };
-            // Verify + assemble on this thread, off the request path;
-            // install is the atomic pointer swap.
+            // Verify + assemble on the admin executor, off the request
+            // path; install is the atomic pointer swap.
             match ModelRegistry::prepare(&slot, &dir, rho) {
                 Ok(entry) => {
-                    let identity = ModelVersion {
-                        name: entry.name.clone(),
-                        version: entry.version,
-                        fingerprint: entry.fingerprint,
-                    };
+                    let identity = entry.identity();
                     registry.install(entry);
                     shared
                         .promoter
@@ -614,16 +599,12 @@ fn answer_admin_frame(shared: &DaemonShared, payload: &[u8]) -> AdminReply {
                 steps,
                 ..rl_ccd_exp::RetrainConfig::default()
             };
-            // Retraining happens on this admin thread, off the request
+            // Retraining happens on the admin executor, off the request
             // path; tenants keep being served by the installed models.
             match rl_ccd_exp::retrain(&base, &log, &out, &cfg) {
                 Ok(report) => match ModelRegistry::prepare(CHALLENGER, &out, shared.rho) {
                     Ok(entry) => {
-                        let identity = ModelVersion {
-                            name: entry.name.clone(),
-                            version: entry.version,
-                            fingerprint: entry.fingerprint,
-                        };
+                        let identity = entry.identity();
                         registry.install(entry);
                         shared.promoter.note(
                             "retrain",

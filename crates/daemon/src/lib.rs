@@ -16,6 +16,16 @@
 //!   serve protocol (credentials required) and an admin port, over one
 //!   shared hot-swappable model registry.
 //!
+//! Both ports run on the serve crate's epoll front
+//! ([`rl_ccd_serve::Front`]): one loop thread per port, whatever the
+//! number of connections. The tenant loop admits and routes each query
+//! inline and never waits for its answer, which the serving core's batch
+//! worker hands back; the admin loop runs `load`, `gate`, `promote`,
+//! `rollback` and `retrain` in arrival order on one executor thread, so
+//! `status` answers while a retrain runs. The front needs Linux epoll:
+//! elsewhere [`Daemon::bind_query`] and [`Daemon::bind_admin`] return
+//! `Unsupported`.
+//!
 //! ```no_run
 //! use rl_ccd_daemon::{Daemon, DaemonConfig, SystemClock};
 //! use rl_ccd_serve::ModelRegistry;

@@ -227,11 +227,7 @@ impl Promoter {
             model: challenger.model.clone(),
             params: challenger.params.clone(),
         });
-        let identity = ModelVersion {
-            name: promoted.name.clone(),
-            version: promoted.version,
-            fingerprint: promoted.fingerprint,
-        };
+        let identity = promoted.identity();
         let evicted = registry.install(promoted);
         *self.previous.lock().expect("previous lock") = evicted;
         let gate_note = verdict
@@ -255,11 +251,7 @@ impl Promoter {
             .expect("previous lock")
             .take()
             .ok_or("nothing to roll back to")?;
-        let identity = ModelVersion {
-            name: previous.name.clone(),
-            version: previous.version,
-            fingerprint: previous.fingerprint,
-        };
+        let identity = previous.identity();
         registry.install(previous);
         self.note("rollback", format!("restored {identity}"));
         Ok(identity)

@@ -10,6 +10,9 @@
 //! * [`Server`] — a std-only worker pool with **cross-request dynamic
 //!   batching** (configurable batch size and batching window), bounded
 //!   queues with `busy`/`deadline` backpressure, and graceful drain;
+//! * [`Front`] — the one TCP front: an epoll loop thread per port,
+//!   generic over a per-frame [`FrameHandler`] (the query port here, the
+//!   daemon's tenant and admin ports in `rl-ccd-daemon`); Linux only;
 //! * [`EnvCache`] / [`SelectionCache`] — LRU memoization of per-design
 //!   feature extraction, cone-overlap masks, and greedy selections;
 //! * [`ServeHandle`] (in-process) and [`ServeClient`] (TCP) clients.
@@ -46,7 +49,7 @@ pub mod cache;
 pub mod client;
 pub mod experience;
 pub mod protocol;
-mod reactor;
+pub mod reactor;
 pub mod registry;
 mod scheduler;
 pub mod server;
@@ -58,6 +61,7 @@ pub use protocol::{
     Credentials, DesignKey, HealthReply, Mode, ModelVersion, QueryReply, QueryRequest, RejectKind,
     Request, Response, PROTOCOL_VERSION,
 };
+pub use reactor::{Deferred, FrameHandler, Front, FrontConfig, FrontStats, Reply, Responder};
 pub use registry::{ModelRegistry, ServeModel};
 pub use server::{DrainReport, ServeConfig, ServeHandle, ServeStats, Server};
 

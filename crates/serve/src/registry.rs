@@ -40,6 +40,17 @@ pub struct ServeModel {
     pub params: ParamSet,
 }
 
+impl ServeModel {
+    /// Name, version and fingerprint: what health probes and audits name.
+    pub fn identity(&self) -> ModelVersion {
+        ModelVersion {
+            name: self.name.clone(),
+            version: self.version,
+            fingerprint: self.fingerprint,
+        }
+    }
+}
+
 /// Name → model map the server answers queries from.
 ///
 /// The map lives behind a [`RwLock`] so entries can be *hot-swapped*
@@ -168,11 +179,7 @@ impl ModelRegistry {
             .read()
             .expect("registry lock")
             .values()
-            .map(|m| ModelVersion {
-                name: m.name.clone(),
-                version: m.version,
-                fingerprint: m.fingerprint,
-            })
+            .map(|m| m.identity())
             .collect()
     }
 

@@ -16,72 +16,16 @@
 //! completed, never dropped).
 
 use crate::protocol::{QueryRequest, RejectKind, Response};
-use rl_ccd_wire::Waker;
 use std::collections::VecDeque;
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Completed responses bound for reactor-driven connections, plus the
-/// waker that interrupts the reactor's poll to deliver them. Batch
-/// workers push here and never block: the reactor owns the sockets.
-#[derive(Debug)]
-pub(crate) struct CompletionQueue {
-    done: Mutex<Vec<(u64, Response)>>,
-    waker: Waker,
-}
-
-impl CompletionQueue {
-    pub(crate) fn new(waker: Waker) -> Self {
-        Self {
-            done: Mutex::new(Vec::new()),
-            waker,
-        }
-    }
-
-    /// Queues a finished response for the connection registered under
-    /// `token` and wakes the reactor.
-    pub(crate) fn push(&self, token: u64, response: Response) {
-        self.done
-            .lock()
-            .expect("completion queue lock")
-            .push((token, response));
-        self.waker.wake();
-    }
-
-    /// Takes everything queued (called by the reactor after a wake).
-    pub(crate) fn take(&self) -> Vec<(u64, Response)> {
-        std::mem::take(&mut *self.done.lock().expect("completion queue lock"))
-    }
-}
-
-/// Where a finished job's response goes: a blocking caller's channel
-/// (in-process handle, thread-per-connection loop), or the reactor's
-/// completion queue with the token of the connection that asked.
-#[derive(Clone, Debug)]
-pub(crate) enum ReplySink {
-    Channel(mpsc::Sender<Response>),
-    Completion {
-        token: u64,
-        queue: Arc<CompletionQueue>,
-    },
-}
-
-impl ReplySink {
-    /// Delivers the response. A receiver that hung up is not an error the
-    /// worker can act on, so delivery is best-effort by design.
-    pub(crate) fn send(&self, response: Response) {
-        match self {
-            ReplySink::Channel(tx) => {
-                let _ = tx.send(response);
-            }
-            ReplySink::Completion { token, queue } => queue.push(*token, response),
-        }
-    }
-}
+/// Where a finished job's response goes: called exactly once, on the
+/// worker thread that answered the job (or on the submitting thread
+/// when the queue rejects it).
+pub(crate) type ReplySink = Box<dyn FnOnce(Response) + Send>;
 
 /// One queued request plus everything needed to answer it.
-#[derive(Debug)]
 pub(crate) struct Job {
     pub(crate) request: QueryRequest,
     pub(crate) reply: ReplySink,
@@ -89,14 +33,13 @@ pub(crate) struct Job {
     pub(crate) deadline: Option<Instant>,
 }
 
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct QueueState {
     queue: VecDeque<Job>,
     draining: bool,
 }
 
 /// The shared submission queue.
-#[derive(Debug)]
 pub(crate) struct Scheduler {
     state: Mutex<QueueState>,
     available: Condvar,
@@ -115,14 +58,15 @@ impl Scheduler {
         }
     }
 
-    /// Enqueues a job, or rejects it with the typed backpressure reason.
-    pub(crate) fn submit(&self, job: Job) -> Result<(), RejectKind> {
+    /// Enqueues a job, or hands its reply sink back with the typed
+    /// backpressure reason so the caller can answer it.
+    pub(crate) fn submit(&self, job: Job) -> Result<(), (RejectKind, ReplySink)> {
         let mut st = self.state.lock().expect("scheduler lock");
         if st.draining {
-            return Err(RejectKind::ShuttingDown);
+            return Err((RejectKind::ShuttingDown, job.reply));
         }
         if st.queue.len() >= self.capacity {
-            return Err(RejectKind::Busy);
+            return Err((RejectKind::Busy, job.reply));
         }
         st.queue.push_back(job);
         rl_ccd_obs::gauge!("serve.queue.depth", st.queue.len() as f64);
@@ -190,6 +134,7 @@ impl Scheduler {
 mod tests {
     use super::*;
     use crate::protocol::{DesignKey, Mode};
+    use std::sync::{mpsc, Arc};
 
     fn job() -> (Job, mpsc::Receiver<Response>) {
         let (tx, rx) = mpsc::channel();
@@ -207,7 +152,9 @@ mod tests {
                     deadline_ms: None,
                     auth: None,
                 },
-                reply: ReplySink::Channel(tx),
+                reply: Box::new(move |r| {
+                    let _ = tx.send(r);
+                }),
                 enqueued: Instant::now(),
                 deadline: None,
             },
@@ -221,10 +168,10 @@ mod tests {
         let (j1, _r1) = job();
         let (j2, _r2) = job();
         assert!(s.submit(j1).is_ok());
-        assert_eq!(s.submit(j2).unwrap_err(), RejectKind::Busy);
+        assert_eq!(s.submit(j2).unwrap_err().0, RejectKind::Busy);
         s.drain();
         let (j3, _r3) = job();
-        assert_eq!(s.submit(j3).unwrap_err(), RejectKind::ShuttingDown);
+        assert_eq!(s.submit(j3).unwrap_err().0, RejectKind::ShuttingDown);
     }
 
     #[test]
@@ -233,7 +180,7 @@ mod tests {
         for _ in 0..5 {
             let (j, _r) = job();
             std::mem::forget(_r); // keep senders alive without receivers
-            s.submit(j).unwrap();
+            assert!(s.submit(j).is_ok());
         }
         let batch = s.next_batch(4, Duration::ZERO).unwrap();
         assert_eq!(batch.len(), 4, "max_batch caps a zero-window batch");
@@ -245,14 +192,14 @@ mod tests {
     fn window_absorbs_late_arrivals_into_the_batch() {
         let s = Arc::new(Scheduler::new(16));
         let (j, _r) = job();
-        s.submit(j).unwrap();
+        assert!(s.submit(j).is_ok());
         let producer = {
             let s = s.clone();
             std::thread::spawn(move || {
                 std::thread::sleep(Duration::from_millis(20));
                 let (j, r) = job();
                 std::mem::forget(r);
-                s.submit(j).unwrap();
+                assert!(s.submit(j).is_ok());
             })
         };
         let batch = s.next_batch(8, Duration::from_millis(400)).unwrap();

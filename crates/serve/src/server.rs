@@ -1,12 +1,12 @@
 //! The server: worker pool, batch execution, TCP front-end, graceful drain.
 //!
-//! Life of a request: a client (in-process [`ServeHandle`] or TCP
-//! connection) submits a [`QueryRequest`] with a reply channel; the
-//! scheduler queues it (or rejects with typed backpressure); a worker
-//! collects a dynamic batch, groups it by (model, design) so each group
-//! resolves its environment **once** through the LRU cache, computes each
-//! selection on the inference-only no-grad fast path, and sends every
-//! reply. Greedy results are memoized per (model fingerprint, design).
+//! Life of a request: a client (in-process [`ServeHandle`] or a TCP
+//! connection on the [`Front`]) submits a [`QueryRequest`] with a reply
+//! callback; the scheduler queues it (or rejects with typed
+//! backpressure); a worker collects a dynamic batch, groups it by (model,
+//! design) so each group resolves its environment **once** through the
+//! LRU cache, computes each selection on the inference-only no-grad fast
+//! path, and sends every reply. Greedy results are memoized per (model fingerprint, design).
 //!
 //! Shutdown is a drain, never a drop: [`Server::shutdown`] flips the queue
 //! to draining (new submissions get `shutting_down`), wakes everything,
@@ -17,6 +17,7 @@
 use crate::cache::{EnvCache, SelectionCache};
 use crate::experience::{ExperienceEvent, ExperienceHook};
 use crate::protocol::{HealthReply, Mode, QueryReply, QueryRequest, RejectKind, Request, Response};
+use crate::reactor::{FrameHandler, Front, FrontConfig, Reply, Responder};
 use crate::registry::ModelRegistry;
 use crate::scheduler::{Job, ReplySink, Scheduler};
 use rand::rngs::StdRng;
@@ -24,8 +25,7 @@ use rand::SeedableRng;
 use rl_ccd::InferSession;
 use rl_ccd_netlist::EndpointId;
 use std::collections::BTreeMap;
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -48,11 +48,11 @@ pub struct ServeConfig {
     pub selection_cache: usize,
     /// Message-passing fanout cap for environment construction.
     pub fanout_cap: usize,
-    /// How long a response write may block before the connection is
-    /// evicted as a slow client (its response buffer is the bound on
-    /// per-connection memory: one frame, never an unbounded backlog).
+    /// How long a response may sit unsent before the connection is
+    /// evicted as a slow client (a client that stops reading cannot make
+    /// the front buffer its replies forever).
     pub write_timeout: Duration,
-    /// Kernel send-buffer cap (`SO_SNDBUF`) applied to each reactor
+    /// Kernel send-buffer cap (`SO_SNDBUF`) applied to each TCP
     /// connection; `None` keeps the kernel's autotuned default. Bounding
     /// it keeps per-connection kernel memory predictable with thousands
     /// of sockets, and makes a client that stops reading hit the
@@ -100,13 +100,7 @@ pub(crate) struct Stats {
     rejected_shutdown: AtomicU64,
     deadline_expired: AtomicU64,
     shed: AtomicU64,
-    evicted: AtomicU64,
     health_probes: AtomicU64,
-    /// Reactor front-end: poll returns (wakeups of the event loop).
-    pub(crate) reactor_polls: AtomicU64,
-    /// Reactor front-end: readiness events processed. Idle connections
-    /// contribute nothing here — the O(active) scaling claim in numbers.
-    pub(crate) reactor_events: AtomicU64,
     batches: Mutex<BTreeMap<usize, u64>>,
 }
 
@@ -133,9 +127,9 @@ pub struct ServeStats {
     pub evicted: u64,
     /// Health probes answered.
     pub health_probes: u64,
-    /// Reactor front-end poll returns (0 when serving via [`Server::bind`]).
+    /// TCP front poll returns (0 until [`Server::bind`]).
     pub reactor_polls: u64,
-    /// Reactor front-end readiness events processed. Stays proportional
+    /// TCP front readiness events processed. Stays proportional
     /// to *active* connections: idle sockets never produce an event.
     pub reactor_events: u64,
     /// batch size → number of batches dispatched at that size.
@@ -182,13 +176,14 @@ pub(crate) struct Shared {
     scheduler: Scheduler,
     envs: EnvCache,
     selections: SelectionCache,
-    pub(crate) stats: Stats,
-    pub(crate) draining: AtomicBool,
-    pub(crate) recorder: Option<rl_ccd_obs::Recorder>,
+    stats: Stats,
+    /// How [`Server::bind`] runs the TCP front; its counters stay zero
+    /// until then.
+    front: FrontConfig,
+    draining: AtomicBool,
+    recorder: Option<rl_ccd_obs::Recorder>,
     queue_capacity: usize,
     shed_retry_after_ms: u64,
-    pub(crate) write_timeout: Duration,
-    pub(crate) sock_send_buffer: Option<usize>,
     fanout_cap: usize,
     experience: Option<Arc<dyn ExperienceHook>>,
 }
@@ -207,36 +202,7 @@ impl std::fmt::Debug for Shared {
 pub struct Server {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    listener: Option<FrontEnd>,
-}
-
-/// Which TCP front-end is serving: the thread-per-connection accept loop
-/// ([`Server::bind`]) or the single-threaded readiness reactor
-/// ([`Server::bind_reactor`]).
-#[derive(Debug)]
-enum FrontEnd {
-    Blocking(ListenerState),
-    Reactor {
-        addr: SocketAddr,
-        thread: JoinHandle<()>,
-        waker: rl_ccd_wire::Waker,
-    },
-}
-
-impl FrontEnd {
-    fn addr(&self) -> SocketAddr {
-        match self {
-            FrontEnd::Blocking(l) => l.addr,
-            FrontEnd::Reactor { addr, .. } => *addr,
-        }
-    }
-}
-
-#[derive(Debug)]
-struct ListenerState {
-    addr: SocketAddr,
-    accept_thread: JoinHandle<()>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    front: Option<Front>,
 }
 
 /// Cheap in-process client — the same queue and typed rejections as TCP,
@@ -250,20 +216,25 @@ impl Server {
     /// Starts the worker pool over `registry` and returns the running
     /// server. The current observability recorder (if one is attached on
     /// the calling thread) is captured and re-attached inside every
-    /// worker and connection thread.
+    /// worker thread and the TCP front's loop thread.
     pub fn start(registry: ModelRegistry, config: ServeConfig) -> Self {
+        let recorder = rl_ccd_obs::current();
         let shared = Arc::new(Shared {
             registry,
             scheduler: Scheduler::new(config.queue_capacity),
             envs: EnvCache::new(config.env_cache, config.fanout_cap),
             selections: SelectionCache::new(config.selection_cache),
             stats: Stats::default(),
+            front: FrontConfig {
+                write_timeout: config.write_timeout,
+                sock_send_buffer: config.sock_send_buffer,
+                recorder: recorder.clone(),
+                stats: Arc::default(),
+            },
             draining: AtomicBool::new(false),
-            recorder: rl_ccd_obs::current(),
+            recorder,
             queue_capacity: config.queue_capacity,
             shed_retry_after_ms: config.shed_retry_after_ms(),
-            write_timeout: config.write_timeout,
-            sock_send_buffer: config.sock_send_buffer,
             fanout_cap: config.fanout_cap,
             experience: config.experience.clone(),
         });
@@ -281,7 +252,7 @@ impl Server {
         Self {
             shared,
             workers,
-            listener: None,
+            front: None,
         }
     }
 
@@ -304,82 +275,30 @@ impl Server {
         self.shared.snapshot()
     }
 
-    /// Binds the TCP front-end (e.g. `"127.0.0.1:0"` for an ephemeral
-    /// port) and starts accepting framed connections. Returns the bound
-    /// address.
+    /// Binds the TCP front (e.g. `"127.0.0.1:0"` for an ephemeral port):
+    /// one epoll thread multiplexes every connection, so a replica holds
+    /// thousands of them without a thread each. Queries go to the worker
+    /// pool and come back through the front's completion queue; health
+    /// probes and malformed frames are answered inline; a reply stalled past
+    /// [`ServeConfig::write_timeout`] evicts its connection. Returns the
+    /// bound address.
     ///
     /// # Errors
-    /// Propagates bind failures.
+    /// Propagates bind and epoll setup failures (`Unsupported` off Linux:
+    /// there is no TCP front there, only [`Server::handle`]).
     pub fn bind(&mut self, addr: &str) -> std::io::Result<SocketAddr> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let shared = self.shared.clone();
-        let conns_in_accept = conns.clone();
-        let accept_thread = std::thread::Builder::new()
-            .name("serve-accept".into())
-            .spawn(move || {
-                let _obs = shared.recorder.as_ref().map(rl_ccd_obs::attach);
-                for stream in listener.incoming() {
-                    if shared.draining.load(Ordering::SeqCst) {
-                        break; // the drain's wake-up connection lands here
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let shared = shared.clone();
-                    let conn = std::thread::Builder::new()
-                        .name("serve-conn".into())
-                        .spawn(move || connection_loop(&shared, stream))
-                        .expect("spawn serve connection");
-                    conns_in_accept.lock().expect("conn list lock").push(conn);
-                }
-            })
-            .expect("spawn serve accept loop");
-        self.listener = Some(FrontEnd::Blocking(ListenerState {
-            addr: local,
-            accept_thread,
-            conns,
-        }));
+        let port = QueryPort {
+            shared: self.shared.clone(),
+        };
+        let front = Front::bind(addr, "serve-reactor", self.shared.front.clone(), port)?;
+        let local = front.local_addr();
+        self.front = Some(front);
         Ok(local)
     }
 
-    /// Binds the TCP front-end on the readiness reactor: one thread
-    /// multiplexes every connection with epoll instead of spawning a
-    /// thread per socket, which is what lets one replica hold thousands
-    /// of concurrent connections. Same protocol, same typed backpressure,
-    /// same slow-client eviction (a write stalled past
-    /// [`ServeConfig::write_timeout`] evicts); batch execution stays on
-    /// the worker pool, bridged by the completion queue.
-    ///
-    /// # Errors
-    /// Propagates bind/epoll setup failures (`Unsupported` off Linux —
-    /// use [`Server::bind`] there).
-    pub fn bind_reactor(&mut self, addr: &str) -> std::io::Result<SocketAddr> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        // A connection burst beyond std's hardcoded backlog of 128 would
-        // see connection resets; re-arm to a depth matching the front-end.
-        let _ = rl_ccd_wire::reactor::set_backlog(&listener, 4096);
-        let waker = rl_ccd_wire::Waker::new()?;
-        let shared = self.shared.clone();
-        let reactor_waker = waker.clone();
-        // Fail setup errors here, on the caller, not inside the thread.
-        crate::reactor::check_supported()?;
-        let thread = std::thread::Builder::new()
-            .name("serve-reactor".into())
-            .spawn(move || crate::reactor::run(&shared, listener, reactor_waker))
-            .expect("spawn serve reactor");
-        self.listener = Some(FrontEnd::Reactor {
-            addr: local,
-            thread,
-            waker,
-        });
-        Ok(local)
-    }
-
-    /// The bound TCP address, when [`Server::bind`] or
-    /// [`Server::bind_reactor`] was called.
+    /// The bound TCP address, when [`Server::bind`] was called.
     pub fn local_addr(&self) -> Option<SocketAddr> {
-        self.listener.as_ref().map(FrontEnd::addr)
+        self.front.as_ref().map(Front::local_addr)
     }
 
     /// Whether a client has sent the admin `shutdown` request (the CLI
@@ -393,24 +312,11 @@ impl Server {
     pub fn shutdown(self) -> DrainReport {
         self.shared.draining.store(true, Ordering::SeqCst);
         self.shared.scheduler.drain();
-        match self.listener {
-            Some(FrontEnd::Blocking(listener)) => {
-                // Unblock the accept loop with one throwaway connection.
-                let _ = TcpStream::connect(listener.addr);
-                let _ = listener.accept_thread.join();
-                let conns = std::mem::take(&mut *listener.conns.lock().expect("conn list lock"));
-                for conn in conns {
-                    let _ = conn.join();
-                }
-            }
-            Some(FrontEnd::Reactor { thread, waker, .. }) => {
-                // Interrupt the poll; the reactor notices draining, stops
-                // accepting, flushes every owed response (workers are
-                // still running and will finish the backlog), then exits.
-                waker.wake();
-                let _ = thread.join();
-            }
-            None => {}
+        if let Some(front) = self.front {
+            // The front notices draining, stops accepting, flushes every
+            // owed response (workers are still running and finish the
+            // backlog), then exits.
+            front.join();
         }
         for worker in self.workers {
             let _ = worker.join();
@@ -429,12 +335,20 @@ impl ServeHandle {
     /// full queue as [`Response::Overloaded`] — never a panic or a hang.
     pub fn query(&self, request: QueryRequest) -> Response {
         let (tx, rx) = mpsc::channel();
-        match self.shared.submit(request, ReplySink::Channel(tx)) {
-            Err(kind) => self.shared.reject_response(kind),
-            Ok(()) => rx.recv().unwrap_or_else(|_| {
-                Response::reject(RejectKind::Internal, "worker dropped the reply channel")
-            }),
-        }
+        self.submit(request, move |response| {
+            let _ = tx.send(response);
+        });
+        rx.recv().unwrap_or_else(|_| {
+            Response::reject(RejectKind::Internal, "worker dropped the reply channel")
+        })
+    }
+
+    /// Submits a query without waiting. `on_reply` gets the response
+    /// exactly once: on a worker thread once the query is answered, or on
+    /// this thread at once when the queue rejects it (typed, as for
+    /// [`ServeHandle::query`]).
+    pub fn submit(&self, request: QueryRequest, on_reply: impl FnOnce(Response) + Send + 'static) {
+        self.shared.submit(request, Box::new(on_reply));
     }
 
     /// Answers a health probe from the live server state (never queued).
@@ -463,7 +377,8 @@ fn rejection_message(kind: RejectKind) -> &'static str {
 }
 
 impl Shared {
-    pub(crate) fn submit(&self, request: QueryRequest, reply: ReplySink) -> Result<(), RejectKind> {
+    /// Queues a job; a rejected one is answered on the spot.
+    fn submit(&self, request: QueryRequest, reply: ReplySink) {
         let now = Instant::now();
         let deadline = request
             .deadline_ms
@@ -477,16 +392,15 @@ impl Shared {
         match self.scheduler.submit(job) {
             Ok(()) => {
                 self.stats.accepted.fetch_add(1, Ordering::SeqCst);
-                Ok(())
             }
-            Err(kind) => {
+            Err((kind, reply)) => {
                 let counter = match kind {
                     RejectKind::Busy => &self.stats.rejected_busy,
                     _ => &self.stats.rejected_shutdown,
                 };
                 counter.fetch_add(1, Ordering::SeqCst);
                 rl_ccd_obs::counter!("serve.rejected", 1);
-                Err(kind)
+                reply(self.reject_response(kind));
             }
         }
     }
@@ -494,7 +408,7 @@ impl Shared {
     /// The response for a rejected submission: a full queue becomes the
     /// typed load-shedding answer with its backoff hint, everything else
     /// a [`Response::Err`].
-    pub(crate) fn reject_response(&self, kind: RejectKind) -> Response {
+    fn reject_response(&self, kind: RejectKind) -> Response {
         if kind == RejectKind::Busy {
             self.stats.shed.fetch_add(1, Ordering::SeqCst);
             rl_ccd_obs::counter!("serve.shed", 1);
@@ -505,14 +419,8 @@ impl Shared {
         Response::reject(kind, rejection_message(kind))
     }
 
-    /// Records a slow-client eviction (shared by both front-ends).
-    pub(crate) fn note_evicted(&self) {
-        self.stats.evicted.fetch_add(1, Ordering::SeqCst);
-        rl_ccd_obs::counter!("serve.evicted", 1);
-    }
-
     /// A point-in-time health reply.
-    pub(crate) fn health_reply(&self) -> HealthReply {
+    fn health_reply(&self) -> HealthReply {
         self.stats.health_probes.fetch_add(1, Ordering::SeqCst);
         rl_ccd_obs::counter!("serve.health_probes", 1);
         HealthReply {
@@ -532,10 +440,10 @@ impl Shared {
             rejected_shutdown: self.stats.rejected_shutdown.load(Ordering::SeqCst),
             deadline_expired: self.stats.deadline_expired.load(Ordering::SeqCst),
             shed: self.stats.shed.load(Ordering::SeqCst),
-            evicted: self.stats.evicted.load(Ordering::SeqCst),
+            evicted: self.front.stats.evicted.load(Ordering::SeqCst),
             health_probes: self.stats.health_probes.load(Ordering::SeqCst),
-            reactor_polls: self.stats.reactor_polls.load(Ordering::SeqCst),
-            reactor_events: self.stats.reactor_events.load(Ordering::SeqCst),
+            reactor_polls: self.front.stats.polls.load(Ordering::SeqCst),
+            reactor_events: self.front.stats.events.load(Ordering::SeqCst),
             batches: self
                 .stats
                 .batches
@@ -576,7 +484,7 @@ fn execute_batch(shared: &Shared, batch: Vec<Job>) {
             rl_ccd_obs::counter!("serve.deadline_expired", 1);
             finish(
                 shared,
-                &job,
+                job,
                 Response::reject(RejectKind::Deadline, "deadline passed in queue"),
             );
             continue;
@@ -591,11 +499,7 @@ fn execute_batch(shared: &Shared, batch: Vec<Job>) {
         let Some(model) = shared.registry.get(&model_name) else {
             for job in jobs {
                 let msg = format!("no model {model_name:?} in the registry");
-                finish(
-                    shared,
-                    &job,
-                    Response::reject(RejectKind::UnknownModel, msg),
-                );
+                finish(shared, job, Response::reject(RejectKind::UnknownModel, msg));
             }
             continue;
         };
@@ -606,7 +510,7 @@ fn execute_batch(shared: &Shared, batch: Vec<Job>) {
                 for job in jobs {
                     finish(
                         shared,
-                        &job,
+                        job,
                         Response::reject(RejectKind::BadRequest, msg.clone()),
                     );
                 }
@@ -681,92 +585,62 @@ fn execute_batch(shared: &Shared, batch: Vec<Job>) {
                 cached,
                 selection: selection.iter().map(|e| e.index()).collect(),
             };
-            finish(shared, &job, Response::Ok(reply));
+            finish(shared, job, Response::Ok(reply));
         }
     }
 }
 
 /// Delivers a reply and records completion + latency. A client that hung
 /// up is still a completed request — the server held up its side.
-fn finish(shared: &Shared, job: &Job, response: Response) {
+fn finish(shared: &Shared, job: Job, response: Response) {
     let latency_ms = job.enqueued.elapsed().as_secs_f64() * 1e3;
     rl_ccd_obs::observe!("serve.request.latency_ms", latency_ms);
     rl_ccd_obs::counter!("serve.completed", 1);
     shared.stats.completed.fetch_add(1, Ordering::SeqCst);
-    job.reply.send(response);
+    // A receiver that hung up is not an error the worker can act on.
+    (job.reply)(response);
 }
 
-/// One TCP connection: framed requests in, framed responses out, until
-/// EOF, a fatal stream error, a slow-client eviction, or the server
-/// drains. Per-connection memory is bounded by construction: one request
-/// frame in flight (capped by the frame limit) and one encoded response
-/// (written before the next request is read).
-fn connection_loop(shared: &Shared, stream: TcpStream) {
-    let _obs = shared.recorder.as_ref().map(rl_ccd_obs::attach);
-    // Short read timeout so an idle connection re-checks the drain flag;
-    // write timeout so a client that stops draining its socket is
-    // evicted instead of pinning a connection thread forever.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let _ = stream.set_write_timeout(Some(shared.write_timeout));
-    let Ok(mut reader) = stream.try_clone() else {
-        return; // no usable socket pair; nothing was accepted yet
-    };
-    let mut writer = stream;
-    loop {
-        match crate::protocol::read_frame(&mut reader) {
-            Ok(payload) => {
-                let response = match Request::decode(&payload) {
-                    Err(msg) => Response::reject(RejectKind::BadRequest, msg),
-                    Ok(Request::Shutdown) => {
-                        // Acknowledge, then let the controlling process
-                        // call Server::shutdown; the connection ends here.
-                        let ack = Response::Ok(QueryReply {
-                            model: String::new(),
-                            version: 0,
-                            steps: 0,
-                            batch: 0,
-                            cached: false,
-                            selection: vec![],
-                        });
-                        let _ = crate::protocol::write_frame(&mut writer, &ack.encode());
-                        shared.draining.store(true, Ordering::SeqCst);
-                        return;
-                    }
-                    Ok(Request::Health) => Response::Health(shared.health_reply()),
-                    Ok(Request::Query(q)) => {
-                        let (tx, rx) = mpsc::channel();
-                        match shared.submit(q, ReplySink::Channel(tx)) {
-                            Err(kind) => shared.reject_response(kind),
-                            Ok(()) => rx.recv().unwrap_or_else(|_| {
-                                Response::reject(
-                                    RejectKind::Internal,
-                                    "worker dropped the reply channel",
-                                )
-                            }),
-                        }
-                    }
-                };
-                if let Err(e) = crate::protocol::write_frame(&mut writer, &response.encode()) {
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) {
-                        shared.note_evicted();
-                    }
-                    return;
-                }
-                let _ = writer.flush();
+/// The query port's frame handler: queries go to the worker pool and come
+/// back deferred; health probes, bad frames and the shutdown ack are
+/// answered inline.
+struct QueryPort {
+    shared: Arc<Shared>,
+}
+
+impl FrameHandler for QueryPort {
+    fn on_frame(&mut self, payload: &[u8], responder: &Responder<'_>) -> Reply {
+        let response = match Request::decode(payload) {
+            Err(msg) => Response::reject(RejectKind::BadRequest, msg),
+            Ok(Request::Shutdown) => {
+                // Ack, then close after the flush; the controlling
+                // process calls Server::shutdown.
+                self.shared.draining.store(true, Ordering::SeqCst);
+                return Reply::Last(
+                    Response::Ok(QueryReply {
+                        model: String::new(),
+                        version: 0,
+                        steps: 0,
+                        batch: 0,
+                        cached: false,
+                        selection: vec![],
+                    })
+                    .encode(),
+                );
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shared.draining.load(Ordering::SeqCst) {
-                    return;
-                }
+            Ok(Request::Health) => Response::Health(self.shared.health_reply()),
+            Ok(Request::Query(q)) => {
+                let later = responder.defer();
+                self.shared
+                    .submit(q, Box::new(move |response| later.finish(response.encode())));
+                return Reply::Deferred;
             }
-            Err(_) => return, // EOF or fatal stream error
-        }
+        };
+        Reply::Frame(response.encode())
+    }
+
+    fn draining(&self) -> bool {
+        self.shared.draining.load(Ordering::SeqCst)
     }
 }
 

@@ -1,17 +1,25 @@
-//! End-to-end tests for the reactor TCP front-end: protocol parity with
-//! the blocking front-end, request pipelining on one connection,
-//! slow-client eviction on a write stall, the shutdown-request path, and
-//! the 1k-idle-connection soak pinning that wakeups scale with *active*
-//! connections, not open ones.
+//! End-to-end tests for the epoll TCP front behind `Server::bind`: the
+//! query/health protocol, request pipelining on one connection, a frame
+//! split by a long gap, slow-client eviction on a write stall, the
+//! shutdown-request path, and the 1k-idle-connection soak pinning that
+//! wakeups scale with *active* connections, not open ones. One test
+//! drives the generic front with its own handler: replies finished from
+//! another thread arrive, and a reply dropped unfinished closes the
+//! connection instead of leaving the client waiting.
 
 #![cfg(target_os = "linux")]
 
 use rl_ccd::{RlCcd, RlConfig};
 use rl_ccd_serve::protocol::{DesignKey, Mode, QueryRequest, Request, Response};
-use rl_ccd_serve::{ModelRegistry, ServeClient, ServeConfig, Server};
+use rl_ccd_serve::{
+    FrameHandler, Front, FrontConfig, ModelRegistry, Reply, Responder, ServeClient, ServeConfig,
+    Server,
+};
 use rl_ccd_wire::{read_frame, write_frame};
 use std::io::Write as _;
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn registry() -> ModelRegistry {
@@ -38,7 +46,7 @@ fn query(name: &str, seed: u64, mode: Mode) -> QueryRequest {
 
 fn reactor_server(config: ServeConfig) -> (Server, std::net::SocketAddr) {
     let mut server = Server::start(registry(), config);
-    let addr = server.bind_reactor("127.0.0.1:0").expect("bind_reactor");
+    let addr = server.bind("127.0.0.1:0").expect("bind");
     (server, addr)
 }
 
@@ -109,6 +117,31 @@ fn reactor_front_end_answers_pipelined_requests_in_order() {
     let report = server.shutdown();
     assert_eq!(report.dropped(), 0);
     assert_eq!(report.stats.completed, BURST as u64);
+}
+
+#[test]
+fn frame_split_by_a_long_gap_is_answered_not_reset() {
+    // Header now, payload 400 ms later: a front that times out a
+    // half-read frame resets here; this one must just wait for the rest.
+    let (server, addr) = reactor_server(ServeConfig::default());
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).ok();
+    let mut frame = Vec::new();
+    write_frame(&mut frame, &Request::Health.encode()).expect("encode");
+    stream.write_all(&frame[..4]).expect("send header");
+    std::thread::sleep(Duration::from_millis(400));
+    stream.write_all(&frame[4..]).expect("send payload");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let payload = read_frame(&mut stream).expect("reply, not a reset");
+    let reply = Response::decode(&payload).expect("decode");
+    assert!(
+        matches!(&reply, Response::Health(h) if h.ready),
+        "{reply:?}"
+    );
+    drop(stream);
+    assert_eq!(server.shutdown().dropped(), 0);
 }
 
 #[test]
@@ -208,4 +241,49 @@ fn thousand_idle_connections_cost_no_wakeups() {
     drop(client);
     let report = server.shutdown();
     assert_eq!(report.dropped(), 0);
+}
+
+/// Echoes every frame from a spawned thread, except an empty one, whose
+/// promised reply it drops unfinished.
+struct EchoLater(Arc<AtomicBool>);
+
+impl FrameHandler for EchoLater {
+    fn on_frame(&mut self, payload: &[u8], responder: &Responder<'_>) -> Reply {
+        let later = responder.defer();
+        let payload = payload.to_vec();
+        std::thread::spawn(move || {
+            if !payload.is_empty() {
+                later.finish(payload);
+            }
+        });
+        Reply::Deferred
+    }
+
+    fn draining(&self) -> bool {
+        self.0.load(Ordering::SeqCst)
+    }
+}
+
+#[test]
+fn deferred_replies_arrive_and_a_dropped_one_closes_the_connection() {
+    let draining = Arc::new(AtomicBool::new(false));
+    let config = FrontConfig {
+        write_timeout: Duration::from_secs(5),
+        sock_send_buffer: None,
+        recorder: None,
+        stats: Arc::default(),
+    };
+    let front =
+        Front::bind("127.0.0.1:0", "echo", config, EchoLater(draining.clone())).expect("bind");
+    let mut stream = TcpStream::connect(front.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    write_frame(&mut stream, b"hello").expect("send");
+    assert_eq!(read_frame(&mut stream).expect("echo"), b"hello");
+    write_frame(&mut stream, b"").expect("send");
+    let err = read_frame(&mut stream).expect_err("a dropped reply closes");
+    assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err:?}");
+    draining.store(true, Ordering::SeqCst);
+    front.join();
 }

@@ -94,6 +94,11 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Vec<u8>> {
 /// (services shipping parameter sets or netlists need more than the
 /// default control-message cap).
 ///
+/// Header and payload leave in one buffer through a single `write_all`:
+/// two writes on a socket without `TCP_NODELAY` would hold the payload
+/// back behind the peer's delayed ACK (about 40 ms on Linux) on every
+/// request/response exchange.
+///
 /// # Errors
 /// `InvalidInput` when the payload exceeds `max_len`; otherwise propagates
 /// I/O errors.
@@ -107,8 +112,10 @@ pub fn write_frame_limited<W: Write>(w: &mut W, payload: &[u8], max_len: usize) 
             ),
         ));
     }
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -179,6 +186,34 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap(), b"hello");
         assert_eq!(read_frame(&mut r).unwrap(), b"");
         assert!(read_frame(&mut r).is_err(), "stream exhausted");
+    }
+
+    #[test]
+    fn a_frame_leaves_in_one_write_call() {
+        /// Counts `write` calls; accepts every byte of each.
+        #[derive(Default)]
+        struct Counting {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut sink = Counting::default();
+        write_frame(&mut sink, b"one buffer").unwrap();
+        assert_eq!(sink.writes, 1, "header and payload must not split");
+        write_frame(&mut sink, b"").unwrap();
+        assert_eq!(sink.writes, 2, "an empty frame is still one write");
+        let mut r = &sink.bytes[..];
+        assert_eq!(read_frame(&mut r).unwrap(), b"one buffer");
+        assert_eq!(read_frame(&mut r).unwrap(), b"");
     }
 
     #[test]

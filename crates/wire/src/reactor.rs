@@ -531,6 +531,9 @@ mod tests {
             .poll(&mut events, Some(Duration::from_secs(5)))
             .unwrap();
         assert!(events.iter().any(|e| e.token == 7 && e.readable));
+        // Let every wake land before the drain: the poll above may return
+        // on the first of the three.
+        t.join().unwrap();
         waker.drain();
         // Coalesced: after the drain the level-triggered signal is gone.
         assert_eq!(
@@ -539,7 +542,6 @@ mod tests {
                 .unwrap(),
             0
         );
-        t.join().unwrap();
     }
 
     #[test]

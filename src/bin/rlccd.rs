@@ -16,7 +16,7 @@
 //! rlccd verilog  --in design.nl --out design.v
 //! rlccd suite    [--scale 0.5]
 //! rlccd trace-validate --in run.jsonl
-//! rlccd serve    --checkpoint DIR [--model NAME] [--port P] [--reactor] [--max-batch N]
+//! rlccd serve    --checkpoint DIR [--model NAME] [--port P] [--max-batch N]
 //!                [--window-ms MS] [--queue N] [--serve-workers N] [--rho R]
 //! rlccd query    --design name:cells:tech:seed [--addr HOST:PORT] [--model NAME]
 //!                [--mode greedy|sample] [--seed S] [--count N] [--threads T]
@@ -33,6 +33,10 @@
 //! rlccd retrain  --base DIR --log exp.jsonl --out DIR [--seed S] [--steps N]
 //!                [--batch N] [--max-staleness N] [--w-max F] [--lr F] [--grad-clip F]
 //! ```
+//!
+//! `serve` and `daemon` listen on an epoll front (Linux only) and reject
+//! any option they do not know, or a value that does not parse, with
+//! their usage line and a non-zero exit.
 //!
 //! `daemon` is the multi-tenant production front-end: queries must carry
 //! `--tenant`/`--token` credentials (a tenant spec is
@@ -94,6 +98,50 @@ fn arg<T: std::str::FromStr>(args: &[String], key: &str) -> Option<T> {
         .and_then(|v| v.parse().ok())
 }
 
+/// Strict options for the long-running subcommands: every argument is a
+/// `--flag` the subcommand's usage line lists, followed by its value, and
+/// a value must parse. Misuse fails loudly (with that usage line) instead
+/// of quietly falling back to a default, as [`arg`] does.
+struct Opts<'a> {
+    args: &'a [String],
+}
+
+impl<'a> Opts<'a> {
+    fn parse(cmd: &str, args: &'a [String]) -> Result<Self, Error> {
+        let usage = USAGE_TABLE
+            .iter()
+            .find(|(name, _)| *name == cmd)
+            .map_or("", |(_, line)| line);
+        let listed = |flag: &str| {
+            flag.starts_with("--")
+                && usage
+                    .split(|c: char| c.is_whitespace() || "[]|()".contains(c))
+                    .any(|t| t == flag)
+        };
+        for pair in args.chunks(2) {
+            let flag = pair[0].as_str();
+            if !listed(flag) {
+                return Err(Error::Config(format!("unknown option {flag:?}")));
+            }
+            if pair.len() < 2 {
+                return Err(Error::Config(format!("{flag} needs a value")));
+            }
+        }
+        Ok(Self { args })
+    }
+
+    fn get<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, Error> {
+        let Some(i) = self.args.iter().position(|a| a == key) else {
+            return Ok(None);
+        };
+        let value = &self.args[i + 1];
+        value
+            .parse()
+            .map(Some)
+            .map_err(|_| Error::Config(format!("{key} {value:?} does not parse")))
+    }
+}
+
 /// (subcommand, usage line) table — one source of truth for both the
 /// global usage screen and the per-subcommand usage printed when that
 /// subcommand's arguments fail to parse.
@@ -132,7 +180,7 @@ const USAGE_TABLE: &[(&str, &str)] = &[
     ("trace-validate", "trace-validate --in FILE"),
     (
         "serve",
-        "serve    --checkpoint DIR [--model NAME] [--port P] [--reactor] [--max-batch N]\n\
+        "serve    --checkpoint DIR [--model NAME] [--port P] [--max-batch N]\n\
          \u{20}         [--window-ms MS] [--queue N] [--serve-workers N] [--env-cache N]\n\
          \u{20}         [--rho R] [--fanout-cap N] [--trace-out FILE]",
     ),
@@ -155,7 +203,8 @@ const USAGE_TABLE: &[(&str, &str)] = &[
          \u{20}         [--rho R] [--admin-token T] [--audit-out FILE] [--usage-out FILE]\n\
          \u{20}         [--usage-flush-ms MS] [--exp-out FILE]\n\
          \u{20}         [--gate-samples N] [--gate-seed S] [--max-batch N] [--window-ms MS]\n\
-         \u{20}         [--queue N] [--serve-workers N] [--trace-out FILE]\n\
+         \u{20}         [--queue N] [--serve-workers N] [--env-cache N] [--fanout-cap N]\n\
+         \u{20}         [--trace-out FILE]\n\
          \u{20}         (a tenant SPEC is id:token:rate:burst:quota)",
     ),
     (
@@ -655,21 +704,30 @@ fn cmd_retrain(args: &[String]) -> Result<(), Error> {
     Ok(())
 }
 
-fn cmd_serve(args: &[String]) -> Result<(), Error> {
-    let dir: String = arg(args, "--checkpoint")
-        .ok_or_else(|| Error::Config("missing --checkpoint DIR".into()))?;
-    let model: String = arg(args, "--model").unwrap_or_else(|| "default".into());
-    let port: u16 = arg(args, "--port").unwrap_or(7878);
-    let rho: f32 = arg(args, "--rho").unwrap_or_else(|| RlConfig::default().rho);
-    let config = ServeConfig {
-        max_batch: arg(args, "--max-batch").unwrap_or(8),
-        window: std::time::Duration::from_millis(arg(args, "--window-ms").unwrap_or(2)),
-        queue_capacity: arg(args, "--queue").unwrap_or(64),
-        workers: arg(args, "--serve-workers").unwrap_or(2),
-        env_cache: arg(args, "--env-cache").unwrap_or(4),
-        fanout_cap: arg(args, "--fanout-cap").unwrap_or_else(|| RlConfig::default().fanout_cap),
+/// The serving-core options `serve` and `daemon` share.
+fn serve_config(o: &Opts<'_>) -> Result<ServeConfig, Error> {
+    Ok(ServeConfig {
+        max_batch: o.get("--max-batch")?.unwrap_or(8),
+        window: std::time::Duration::from_millis(o.get("--window-ms")?.unwrap_or(2)),
+        queue_capacity: o.get("--queue")?.unwrap_or(64),
+        workers: o.get("--serve-workers")?.unwrap_or(2),
+        env_cache: o.get("--env-cache")?.unwrap_or(4),
+        fanout_cap: o
+            .get("--fanout-cap")?
+            .unwrap_or(RlConfig::default().fanout_cap),
         ..ServeConfig::default()
-    };
+    })
+}
+
+fn cmd_serve(args: &[String]) -> Result<(), Error> {
+    let o = Opts::parse("serve", args)?;
+    let dir: String = o
+        .get("--checkpoint")?
+        .ok_or_else(|| Error::Config("missing --checkpoint DIR".into()))?;
+    let model: String = o.get("--model")?.unwrap_or_else(|| "default".into());
+    let port: u16 = o.get("--port")?.unwrap_or(7878);
+    let rho: f32 = o.get("--rho")?.unwrap_or(RlConfig::default().rho);
+    let config = serve_config(&o)?;
     let trace = trace_from(args);
     let _obs = trace.as_ref().map(|t| rl_ccd_obs::attach(&t.recorder));
     let registry = ModelRegistry::new();
@@ -681,14 +739,7 @@ fn cmd_serve(args: &[String]) -> Result<(), Error> {
         entry.name, entry.version, entry.fingerprint
     );
     let mut server = Server::start(registry, config);
-    let bind_addr = format!("127.0.0.1:{port}");
-    // --reactor: one epoll thread multiplexes every connection instead of
-    // a thread per socket — what lets one replica hold thousands of them.
-    let addr = if args.iter().any(|a| a == "--reactor") {
-        server.bind_reactor(&bind_addr)?
-    } else {
-        server.bind(&bind_addr)?
-    };
+    let addr = server.bind(&format!("127.0.0.1:{port}"))?;
     println!("serving on {addr} — stop with `rlccd query --shutdown --addr {addr}`");
     while !server.shutdown_requested() {
         std::thread::sleep(std::time::Duration::from_millis(100));
@@ -998,33 +1049,26 @@ fn cmd_worker(args: &[String]) -> Result<(), Error> {
 
 /// Runs the multi-tenant daemon until an admin sends `drain`.
 fn cmd_daemon(args: &[String]) -> Result<(), Error> {
-    let dir: String = arg(args, "--checkpoint")
+    let o = Opts::parse("daemon", args)?;
+    let dir: String = o
+        .get("--checkpoint")?
         .ok_or_else(|| Error::Config("missing --checkpoint DIR".into()))?;
-    let port: u16 = arg(args, "--port").unwrap_or(7791);
-    let admin_port: u16 = arg(args, "--admin-port").unwrap_or(7792);
-    let rho: f32 = arg(args, "--rho").unwrap_or_else(|| RlConfig::default().rho);
-    let serve = ServeConfig {
-        max_batch: arg(args, "--max-batch").unwrap_or(8),
-        window: std::time::Duration::from_millis(arg(args, "--window-ms").unwrap_or(2)),
-        queue_capacity: arg(args, "--queue").unwrap_or(64),
-        workers: arg(args, "--serve-workers").unwrap_or(2),
-        env_cache: arg(args, "--env-cache").unwrap_or(4),
-        fanout_cap: arg(args, "--fanout-cap").unwrap_or_else(|| RlConfig::default().fanout_cap),
-        ..ServeConfig::default()
-    };
-    let mut gate = rl_ccd::GateSpec::quick(arg(args, "--gate-seed").unwrap_or(0xCCD));
-    if let Some(samples) = arg(args, "--gate-samples") {
+    let port: u16 = o.get("--port")?.unwrap_or(7791);
+    let admin_port: u16 = o.get("--admin-port")?.unwrap_or(7792);
+    let rho: f32 = o.get("--rho")?.unwrap_or(RlConfig::default().rho);
+    let mut gate = rl_ccd::GateSpec::quick(o.get("--gate-seed")?.unwrap_or(0xCCD));
+    if let Some(samples) = o.get("--gate-samples")? {
         gate.samples = samples;
     }
     let config = DaemonConfig {
-        serve,
+        serve: serve_config(&o)?,
         rho,
         gate,
-        admin_token: arg(args, "--admin-token"),
-        audit_path: arg::<String>(args, "--audit-out").map(PathBuf::from),
-        usage_path: arg::<String>(args, "--usage-out").map(PathBuf::from),
-        usage_flush_ms: arg(args, "--usage-flush-ms").unwrap_or(0),
-        experience_path: arg::<String>(args, "--exp-out").map(PathBuf::from),
+        admin_token: o.get("--admin-token")?,
+        audit_path: o.get("--audit-out")?,
+        usage_path: o.get("--usage-out")?,
+        usage_flush_ms: o.get("--usage-flush-ms")?.unwrap_or(0),
+        experience_path: o.get("--exp-out")?,
     };
     let trace = trace_from(args);
     let _obs = trace.as_ref().map(|t| rl_ccd_obs::attach(&t.recorder));
@@ -1037,7 +1081,7 @@ fn cmd_daemon(args: &[String]) -> Result<(), Error> {
         entry.version, entry.fingerprint
     );
     let mut daemon = Daemon::start(registry, config, std::sync::Arc::new(SystemClock));
-    if let Some(specs) = arg::<String>(args, "--tenants") {
+    if let Some(specs) = o.get::<String>("--tenants")? {
         for spec in specs.split(',').filter(|s| !s.is_empty()) {
             let tenant: TenantConfig = spec.parse().map_err(Error::Config)?;
             println!(
